@@ -1112,9 +1112,11 @@ mod tests {
             );
         }
         // A sliced run is byte-identical across worker counts, worm and all.
+        // The worm scans the first two slices (a /17), so probes from the
+        // patient zeroes in slice 0 must cross into slice 1.
         let mut config = sharded_config(4);
         config.cell_map = CellMap::Sliced;
-        config.base.farm.worm = Some(WormSpec::code_red("10.1.8.0/22".parse().unwrap()));
+        config.base.farm.worm = Some(WormSpec::code_red("10.1.0.0/17".parse().unwrap()));
         config.base.duration = SimTime::from_secs(6);
         config.seed_infections = 2;
         let serial = run_telescope_sharded(&config, 1).unwrap();

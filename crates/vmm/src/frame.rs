@@ -190,6 +190,26 @@ impl FrameTable {
         self.state(frame).refcount
     }
 
+    /// The reference count of `frame`, or `None` when it is not live.
+    #[must_use]
+    pub(crate) fn live_refcount(&self, frame: FrameId) -> Option<u32> {
+        self.frames.get(usize::try_from(frame.0).ok()?)?.as_ref().map(|s| s.refcount)
+    }
+
+    /// Every live frame with its reference count, in index order.
+    pub(crate) fn live_frames(&self) -> impl Iterator<Item = (FrameId, u32)> + '_ {
+        self.frames
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.as_ref().map(|s| (FrameId(i as u64), s.refcount)))
+    }
+
+    /// The explicitly freed frames, most recently freed last.
+    #[must_use]
+    pub(crate) fn free_list(&self) -> &[u64] {
+        &self.free
+    }
+
     /// Whether a frame is shared (refcount > 1).
     ///
     /// # Panics

@@ -8,11 +8,13 @@
 //! the paper's delta-virtualization figure.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use potemkin_sim::SimTime;
 use potemkin_storage::{SharedChunkStore, StoreStats, DEFAULT_CHUNK_BLOCKS};
 
 use crate::addrspace::{AddressSpace, Pte};
+use crate::audit::{audit_parts, AuditViolation};
 use crate::block::{BaseDisk, CowDisk};
 use crate::clone::CloneTiming;
 use crate::cost::CostModel;
@@ -372,26 +374,16 @@ impl Host {
         self.admission_check(self.overhead_pages)?;
         let timing = CloneTiming::new(self.cost.flash_clone_stages(pages));
 
-        // Share every image frame read-only (the delta-virtualization map).
+        // Map the image's frame list as the base of the p2m (the
+        // delta-virtualization map): no per-page work, no references.
         let img = self.images.get(&image).expect("checked above");
-        let shared: Vec<Pte> =
-            img.frames().iter().map(|&f| Pte { frame: f, writable: false }).collect();
+        let base = img.shared_frames().clone();
         let disk = CowDisk::new(img.disk().clone());
-        for pte in &shared {
-            self.frames.share(pte.frame);
-        }
-        let mut entries = shared;
-        entries.extend(self.alloc_overhead());
+        let space = AddressSpace::over_base(base, self.alloc_overhead());
 
         let id = DomainId(self.next_domain);
         self.next_domain += 1;
-        let mut dom = Domain::new(
-            id,
-            image,
-            ProvisionKind::FlashClone,
-            AddressSpace::from_entries(entries),
-            disk,
-        );
+        let mut dom = Domain::new(id, image, ProvisionKind::FlashClone, space, disk);
         dom.unpause().expect("fresh domain is paused");
         self.domains.insert(id, dom);
         self.flash_clones += 1;
@@ -507,11 +499,13 @@ impl Host {
             let pte = dom.space().lookup(pfn).expect("image pfns are mapped");
             self.frames.share(pte.frame);
             frames.push(pte.frame);
-            if pte.writable {
-                dom.space_mut()
-                    .remap(pfn, Pte { frame: pte.frame, writable: false })
-                    .expect("pfn in range");
-            }
+        }
+        let writable: Vec<(u64, Pte)> =
+            dom.space().held_entries(image_pages).filter(|(_, pte)| pte.writable).collect();
+        for (pfn, pte) in writable {
+            dom.space_mut()
+                .remap(pfn, Pte { frame: pte.frame, writable: false })
+                .expect("pfn in range");
         }
         let new_id = ImageId(self.next_image);
         self.next_image += 1;
@@ -533,38 +527,32 @@ impl Host {
     pub fn rollback(&mut self, id: DomainId) -> Result<SimTime, VmmError> {
         self.ensure_alive()?;
         let image_id = self.domain(id)?.image();
-        let image_frames: Vec<crate::frame::FrameId> = self.image(image_id)?.frames().to_vec();
+        let image_frames = self.image(image_id)?.shared_frames().clone();
+        let guest_pages = image_frames.len() as u64;
         let dom = self.domains.get_mut(&id).ok_or(VmmError::NoSuchDomain(id))?;
-        let mut released = 0u64;
-        for (pfn, &img_frame) in image_frames.iter().enumerate() {
-            let pfn = pfn as u64;
-            let pte = dom.space().lookup(pfn).expect("image pfns are mapped");
-            // Any page not backed by the original image frame — a private
-            // CoW copy, or a frame frozen into a later snapshot — is
-            // dropped and the pristine image frame re-shared.
-            if pte.frame != img_frame {
-                self.frames.release(pte.frame);
-                self.frames.share(img_frame);
-                dom.space_mut()
-                    .remap(pfn, Pte { frame: img_frame, writable: false })
-                    .expect("pfn in range");
-                released += 1;
-            } else if pte.writable {
-                // Same frame but writable can only happen if the image
-                // itself handed out a writable mapping — it never does.
-                dom.space_mut()
-                    .remap(pfn, Pte { frame: img_frame, writable: false })
-                    .expect("pfn in range");
-            }
+        // Any page not backed by the original image frame — a private CoW
+        // copy, or a frame frozen into a later snapshot — is dropped and the
+        // pristine image frame re-shared. Pages mapping their base frame
+        // already are pristine, so only the held entries are visited.
+        let diverged: Vec<u64> = dom
+            .space()
+            .held_entries(guest_pages)
+            .filter(|&(pfn, pte)| pte.frame != image_frames[pfn as usize])
+            .map(|(pfn, _)| pfn)
+            .collect();
+        for &pfn in &diverged {
+            dom.space_mut()
+                .map_shared(pfn, image_frames[pfn as usize], &mut self.frames)
+                .expect("pfn in range");
         }
         // Overhead pages beyond the image stay allocated; scrub them.
-        for pfn in image_frames.len() as u64..dom.memory_pages() {
+        for pfn in guest_pages..dom.memory_pages() {
             let pte = dom.space().lookup(pfn).expect("in range");
             self.frames.write(pte.frame, 0);
         }
         dom.reset_guest_state();
         self.rollbacks += 1;
-        Ok(self.cost.rollback_cost(released))
+        Ok(self.cost.rollback_cost(diverged.len() as u64))
     }
 
     /// Re-shares a domain's private pages whose contents have reverted to
@@ -582,25 +570,26 @@ impl Host {
     pub fn reshare_reverted_pages(&mut self, id: DomainId) -> Result<u64, VmmError> {
         self.ensure_alive()?;
         let image_id = self.domain(id)?.image();
-        let image_frames: Vec<crate::frame::FrameId> = self.image(image_id)?.frames().to_vec();
+        let image_frames = self.image(image_id)?.shared_frames().clone();
         let dom = self.domains.get_mut(&id).ok_or(VmmError::NoSuchDomain(id))?;
-        let mut reclaimed = 0u64;
-        for (pfn, &img_frame) in image_frames.iter().enumerate() {
-            let pfn = pfn as u64;
-            let pte = dom.space().lookup(pfn).expect("image pfns are mapped");
-            if pte.writable
-                && pte.frame != img_frame
-                && self.frames.read(pte.frame) == self.frames.read(img_frame)
-            {
-                self.frames.release(pte.frame);
-                self.frames.share(img_frame);
-                dom.space_mut()
-                    .remap(pfn, Pte { frame: img_frame, writable: false })
-                    .expect("pfn in range");
-                reclaimed += 1;
-            }
+        let frames = &mut self.frames;
+        let reverted: Vec<u64> = dom
+            .space()
+            .held_entries(image_frames.len() as u64)
+            .filter(|&(pfn, pte)| {
+                let img_frame = image_frames[pfn as usize];
+                pte.writable
+                    && pte.frame != img_frame
+                    && frames.read(pte.frame) == frames.read(img_frame)
+            })
+            .map(|(pfn, _)| pfn)
+            .collect();
+        for &pfn in &reverted {
+            dom.space_mut()
+                .map_shared(pfn, image_frames[pfn as usize], frames)
+                .expect("pfn in range");
         }
-        Ok(reclaimed)
+        Ok(reverted.len() as u64)
     }
 
     /// One content-index pass over every domain's guest region: divergent
@@ -645,12 +634,14 @@ impl Host {
         let scan: Vec<(DomainId, u64)> =
             self.domains.values().map(|d| (d.id(), self.image_guest_pages(d.image()))).collect();
         for (id, guest_pages) in scan {
-            for pfn in 0..guest_pages {
-                let pte = {
-                    let dom = self.domains.get(&id).expect("listed above");
-                    dom.space().lookup(pfn).expect("guest pfns are mapped")
-                };
-                report.scanned_pages += 1;
+            report.scanned_pages += guest_pages;
+            // Base mappings are image frames, already indexed above, so
+            // only the held entries can change the index or merge.
+            let held: Vec<(u64, Pte)> = {
+                let dom = self.domains.get(&id).expect("listed above");
+                dom.space().held_entries(guest_pages).collect()
+            };
+            for (pfn, pte) in held {
                 let content = self.frames.read(pte.frame);
                 if !pte.writable {
                     // Already shared; index it so later duplicates can join.
@@ -673,13 +664,11 @@ impl Host {
                                 .expect("owner pfn in range");
                             canonical.insert(content, (cframe, None));
                         }
-                        self.frames.share(cframe);
-                        self.frames.release(pte.frame);
                         self.domains
                             .get_mut(&id)
                             .expect("listed above")
                             .space_mut()
-                            .remap(pfn, Pte { frame: cframe, writable: false })
+                            .map_shared(pfn, cframe, &mut self.frames)
                             .expect("pfn in range");
                         report.merged_pages += 1;
                     }
@@ -763,21 +752,11 @@ impl Host {
         if !dom.is_running() {
             return Err(VmmError::BadState { domain: id, op: "write_page" });
         }
-        let pte = dom.space().lookup(pfn)?;
-        if pte.writable {
-            self.frames.write(pte.frame, value);
-            dom.note_write(false);
-            Ok(WriteOutcome { faulted: false, cost: SimTime::ZERO })
-        } else {
-            // CoW fault: allocate a private copy, remap, then write.
-            let copy = self.frames.cow_copy(pte.frame)?;
-            self.frames.write(copy, value);
-            dom.space_mut()
-                .remap(pfn, Pte { frame: copy, writable: true })
-                .expect("pfn validated by lookup");
-            dom.note_write(true);
-            Ok(WriteOutcome { faulted: true, cost: self.cost.cow_fault })
-        }
+        let (frame, faulted) = dom.space_mut().write_target(pfn, &mut self.frames)?;
+        self.frames.write(frame, value);
+        dom.note_write(faulted);
+        let cost = if faulted { self.cost.cow_fault } else { SimTime::ZERO };
+        Ok(WriteOutcome { faulted, cost })
     }
 
     /// Writes a batch of pages, summing faults and costs.
@@ -853,6 +832,19 @@ impl Host {
             shared_mappings,
             live_domains: self.domains.len() as u64,
         }
+    }
+
+    /// Checks the host's invariants: every live frame's refcount equals
+    /// the image slots, overrides and tail entries naming it; the free list
+    /// holds each dead frame exactly once; every override lies below its
+    /// base and differs from the base mapping; and each domain's base is
+    /// empty or its image's frame list.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`AuditViolation`] found.
+    pub fn audit(&self) -> Result<(), AuditViolation> {
+        audit_parts(&self.frames, &self.images, &self.domains, self.next_image, self.next_domain)
     }
 
     /// Direct access to the frame table (tests and invariant checks).
@@ -956,8 +948,18 @@ impl Host {
             w.u64(reads);
             w.u64(writes);
             w.bool(dom.is_infected());
-            w.u64(dom.space().size());
-            for (_, pte) in dom.space().iter() {
+            // The sparse p2m: base length, overrides, then the tail. The
+            // base itself is the image's frame list, written once above.
+            let space = dom.space();
+            w.u64(space.base().len() as u64);
+            w.u64(space.overrides().len() as u64);
+            for (pfn, pte) in space.overrides() {
+                w.u64(pfn);
+                w.u64(pte.frame.0);
+                w.bool(pte.writable);
+            }
+            w.u64(space.tail().len() as u64);
+            for pte in space.tail() {
                 w.u64(pte.frame.0);
                 w.bool(pte.writable);
             }
@@ -973,7 +975,8 @@ impl Host {
     /// # Errors
     ///
     /// Returns [`potemkin_snapshot::SnapshotError::Decode`] when the payload
-    /// is truncated or structurally inconsistent.
+    /// is truncated, structurally inconsistent, or decodes to a state that
+    /// fails [`Host::audit`].
     pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), potemkin_snapshot::SnapshotError> {
         use potemkin_snapshot::{SnapReader, SnapshotError};
         const CTX: &str = "vmm.host";
@@ -1041,6 +1044,11 @@ impl Host {
                 let exploit_depth = r.u8()?;
                 services.push(crate::guest::Service { port, proto, exploit_depth });
             }
+            // One frame per page, and the disk the profile describes: the
+            // page and block paths index by these without re-checking.
+            if memory_pages != frame_count || disk_blocks != disk.size() {
+                return Err(bad());
+            }
             let profile = GuestProfile {
                 memory_pages,
                 disk_blocks,
@@ -1077,33 +1085,39 @@ impl Host {
             let mem_reads = r.u64()?;
             let mem_writes = r.u64()?;
             let infected = r.bool()?;
-            let space_size = r.u64()?;
-            let mut entries = Vec::with_capacity(space_size.min(1 << 20) as usize);
-            for _ in 0..space_size {
+            let img = images.get(&image).ok_or_else(bad)?;
+            // The base is re-attached from the restored image: a domain
+            // either maps its image's whole frame list or none of it.
+            let base = match r.u64()? {
+                0 => Arc::from([]),
+                len if len == img.pages() => img.shared_frames().clone(),
+                _ => return Err(bad()),
+            };
+            let override_count = r.u64()?;
+            let mut overrides = Vec::with_capacity(override_count.min(1 << 20) as usize);
+            for _ in 0..override_count {
+                let pfn = r.u64()?;
                 let frame = crate::frame::FrameId(r.u64()?);
-                let writable = r.bool()?;
-                entries.push(Pte { frame, writable });
+                overrides.push((pfn, Pte { frame, writable: r.bool()? }));
             }
+            let tail_len = r.u64()?;
+            let mut tail = Vec::with_capacity(tail_len.min(1 << 20) as usize);
+            for _ in 0..tail_len {
+                let frame = crate::frame::FrameId(r.u64()?);
+                tail.push(Pte { frame, writable: r.bool()? });
+            }
+            let space = AddressSpace::from_parts(base, &overrides, tail).ok_or_else(bad)?;
             // A domain's base disk always aliases its image's disk (every
             // provisioning path clones it), so restore from the image.
-            let base = images.get(&image).ok_or_else(bad)?.disk().clone();
-            let disk = CowDisk::decode_overlay(base, &mut r)?;
+            let disk = CowDisk::decode_overlay(img.disk().clone(), &mut r)?;
             let dom = Domain::from_snapshot_parts(
-                id,
-                image,
-                state,
-                provision,
-                AddressSpace::from_entries(entries),
-                disk,
-                bound_addr,
-                cow_faults,
-                mem_reads,
-                mem_writes,
-                infected,
+                id, image, state, provision, space, disk, bound_addr, cow_faults, mem_reads,
+                mem_writes, infected,
             );
             domains.insert(id, dom);
         }
         r.finish()?;
+        audit_parts(&frames, &images, &domains, next_image, next_domain).map_err(|_| bad())?;
         self.frames = frames;
         self.images = images;
         self.domains = domains;
@@ -1177,6 +1191,179 @@ mod tests {
         let mut tail = bytes.clone();
         tail.extend_from_slice(&[0u8; 4]);
         assert!(h.restore_state(&tail).is_err(), "trailing garbage must fail");
+    }
+
+    #[test]
+    fn flash_clones_share_the_image_frame_list_without_references() {
+        let (mut host, image) = small_host();
+        let (a, _) = host.flash_clone(image).unwrap();
+        let (b, _) = host.flash_clone(image).unwrap();
+        let frames = host.image(image).unwrap().shared_frames().clone();
+        for vm in [a, b] {
+            assert!(Arc::ptr_eq(host.domain(vm).unwrap().space().base(), &frames));
+        }
+        assert_eq!(host.frames().refcount(frames[5]), 1, "only the image holds its frames");
+        assert!(host.write_page(a, 5, 1).unwrap().faulted);
+        assert_eq!(host.frames().refcount(frames[5]), 1, "a fault off the base drops nothing");
+        host.audit().unwrap();
+        host.destroy(a).unwrap();
+        host.destroy(b).unwrap();
+        host.audit().unwrap();
+        assert_eq!(host.memory_report().used_frames, 8_192);
+    }
+
+    #[test]
+    fn audit_names_the_broken_invariant() {
+        let (mut host, image) = small_host();
+        let (vm, _) = host.flash_clone(image).unwrap();
+        host.write_page(vm, 3, 9).unwrap();
+        host.audit().unwrap();
+        let pristine = host.image(image).unwrap().frames()[5];
+        host.frames.share(pristine);
+        let mismatch =
+            AuditViolation::RefcountMismatch { frame: pristine, refcount: 2, expected: 1 };
+        assert_eq!(host.audit(), Err(mismatch));
+        host.frames.release(pristine);
+        let copy = host.domain(vm).unwrap().space().lookup(3).unwrap().frame;
+        host.frames.share(copy);
+        assert_eq!(host.audit(), Err(AuditViolation::SharedWritable { domain: vm, pfn: 3 }));
+        host.frames.release(copy);
+        host.audit().unwrap();
+
+        let freed = host.frames.alloc(0).unwrap();
+        host.frames.release(freed);
+        let space = host.domains.get_mut(&vm).unwrap().space_mut();
+        space.remap(4, Pte { frame: freed, writable: true }).unwrap();
+        assert_eq!(host.audit(), Err(AuditViolation::DeadFrame { frame: freed }));
+        let base4 = host.image(image).unwrap().frames()[4];
+        let space = host.domains.get_mut(&vm).unwrap().space_mut();
+        space.remap(4, Pte { frame: base4, writable: false }).unwrap();
+        host.audit().unwrap();
+
+        host.next_domain = vm.0;
+        assert_eq!(host.audit(), Err(AuditViolation::StaleIdAllocator));
+    }
+
+    #[test]
+    fn restore_rejects_malformed_p2m() {
+        let (mut host, image) = small_host();
+        let (vm, _) = host.flash_clone(image).unwrap();
+        host.write_page(vm, 3, 1).unwrap();
+        host.write_page(vm, 7, 2).unwrap();
+        let freed = host.frames.alloc(0).unwrap();
+        host.frames.release(freed);
+        let bytes = host.encode_state();
+        let space = host.domain(vm).unwrap().space();
+        let (o3, o7) = (space.lookup(3).unwrap().frame, space.lookup(7).unwrap().frame);
+        let base3 = space.base()[3];
+        let u64s = |v: &[u64]| v.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>();
+        let entry = |pfn: u64, frame: crate::frame::FrameId, writable: bool| {
+            let mut e = u64s(&[pfn, frame.0]);
+            e.push(u8::from(writable));
+            e
+        };
+        let p2m = |base_len: u64, a: Vec<u8>, b: Vec<u8>| [u64s(&[base_len, 2]), a, b].concat();
+        let original = p2m(8_192, entry(3, o3, true), entry(7, o7, true));
+        let at = bytes
+            .windows(original.len())
+            .position(|w| w == original.as_slice())
+            .expect("the p2m is encoded as base length, then overrides");
+        let restore = |p2m: Vec<u8>| {
+            let mut patched = bytes.clone();
+            patched[at..at + p2m.len()].copy_from_slice(&p2m);
+            Host::new(100_000).with_overhead_pages(16).restore_state(&patched)
+        };
+        assert!(restore(original.clone()).is_ok());
+        let cases = [
+            ("base length", p2m(5, entry(3, o3, true), entry(7, o7, true))),
+            ("pfn past the base", p2m(8_192, entry(3, o3, true), entry(8_192, o7, true))),
+            ("unsorted", p2m(8_192, entry(7, o7, true), entry(3, o3, true))),
+            ("duplicate pfn", p2m(8_192, entry(3, o3, true), entry(3, o7, true))),
+            ("dead frame", p2m(8_192, entry(3, freed, true), entry(7, o7, true))),
+            ("base mapping", p2m(8_192, entry(3, base3, false), entry(7, o7, true))),
+            ("refcount", p2m(8_192, entry(3, o7, true), entry(7, o7, true))),
+        ];
+        for (what, p2m) in cases {
+            assert!(
+                matches!(restore(p2m), Err(potemkin_snapshot::SnapshotError::Decode { .. })),
+                "{what} must be rejected"
+            );
+        }
+    }
+
+    /// Drives every memory path of a restored host; none may panic.
+    fn exercise(host: &mut Host) {
+        let ids: Vec<DomainId> = host.domains().map(Domain::id).collect();
+        for &id in &ids {
+            for pfn in 0..host.domain(id).map_or(0, Domain::memory_pages) {
+                let _ = host.read_page(id, pfn);
+                let _ = host.write_page(id, pfn, pfn);
+            }
+            let _ = host.reshare_reverted_pages(id);
+            let _ = host.snapshot_domain(id, "exercise");
+            let _ = host.rollback(id);
+        }
+        let _ = host.scan_and_merge();
+        let images: Vec<ImageId> = host.images.keys().copied().collect();
+        for image in images {
+            let _ = host.flash_clone(image);
+        }
+        host.audit().unwrap();
+        let ids: Vec<DomainId> = host.domains().map(Domain::id).collect();
+        for id in ids {
+            let _ = host.destroy(id);
+        }
+        host.audit().unwrap();
+    }
+
+    #[test]
+    fn restore_survives_any_byte_flip_or_truncation() {
+        let profile = GuestProfile {
+            memory_pages: 24,
+            disk_blocks: 64,
+            request_touch_pages: 4,
+            infection_touch_pages: 6,
+            infection_disk_blocks: 4,
+            ..GuestProfile::small()
+        };
+        let new_host = || Host::new(1_024).with_overhead_pages(2).with_disk_chunk_blocks(16);
+        let mut host = new_host();
+        let image = host.create_reference_image("tiny", profile).unwrap();
+        let (a, _) = host.flash_clone(image).unwrap();
+        let (b, _) = host.flash_clone(image).unwrap();
+        let (full, _) = host.full_copy_clone(image).unwrap();
+        let (gone, _) = host.flash_clone(image).unwrap();
+        for vm in [a, b, full] {
+            host.touch_pages(vm, &[1, 2, 5], 7).unwrap();
+        }
+        host.write_page(a, 9, 0xA).unwrap();
+        host.domain_mut(a).unwrap().disk_mut().write(3, 4).unwrap();
+        assert!(host.scan_and_merge().unwrap().merged_pages > 0);
+        host.snapshot_domain(b, "frozen").unwrap();
+        host.destroy(gone).unwrap();
+        host.audit().unwrap();
+        let bytes = host.encode_state();
+
+        for cut in 0..bytes.len() {
+            assert!(new_host().restore_state(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
+        let mut accepted = 0;
+        for i in 0..bytes.len() {
+            for mask in [0x01u8, 0x80, 0xFF] {
+                let mut flipped = bytes.clone();
+                flipped[i] ^= mask;
+                let mut restored = new_host();
+                if restored.restore_state(&flipped).is_ok() {
+                    accepted += 1;
+                    restored.audit().unwrap();
+                    exercise(&mut restored);
+                }
+            }
+        }
+        assert!(accepted > 0, "content words and counters are free to change");
+        let mut restored = new_host();
+        restored.restore_state(&bytes).unwrap();
+        exercise(&mut restored);
     }
 
     #[test]

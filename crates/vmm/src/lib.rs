@@ -17,7 +17,10 @@
 //! * [`frame`] — the machine frame table: allocation, reference counts,
 //!   per-frame content words standing in for page contents.
 //! * [`addrspace`] — per-domain pseudo-physical → machine maps with
-//!   writable bits (the p2m table).
+//!   writable bits (the p2m table), stored as sparse overrides over the
+//!   reference image's shared frame list.
+//! * [`audit`] — the host invariants (frame refcounts, free list, p2m
+//!   deltas) checked by [`Host::audit`] and on every checkpoint restore.
 //! * [`snapshot`] — frozen reference images created by booting a guest
 //!   profile once.
 //! * [`domain`] — VM domains: lifecycle, memory reads/writes with CoW
@@ -56,6 +59,7 @@
 //! ```
 
 pub mod addrspace;
+pub mod audit;
 pub mod block;
 pub mod clone;
 pub mod cost;
@@ -67,6 +71,7 @@ pub mod host;
 pub mod memctl;
 pub mod snapshot;
 
+pub use audit::AuditViolation;
 pub use block::{BaseDisk, CowDisk, DiskStats};
 pub use clone::{CloneTiming, RetryPolicy};
 pub use cost::{

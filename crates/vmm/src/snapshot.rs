@@ -4,9 +4,11 @@
 //! its memory pages become immutable, reference-counted frames that every
 //! flash clone maps copy-on-write, and its disk becomes an immutable base
 //! disk. The image holds one reference on each of its frames, so clone
-//! destruction can never free image state.
+//! destruction can never free image state. Its frame list is shared
+//! (`Arc`) with every flash clone, which maps it as the base of its p2m.
 
 use core::fmt;
+use std::sync::Arc;
 
 use crate::block::BaseDisk;
 use crate::frame::FrameId;
@@ -35,7 +37,7 @@ pub struct ReferenceImage {
     name: String,
     /// One machine frame per pseudo-physical page; the image owns one
     /// reference on each.
-    frames: Vec<FrameId>,
+    frames: Arc<[FrameId]>,
     disk: BaseDisk,
     profile: GuestProfile,
 }
@@ -51,7 +53,7 @@ impl ReferenceImage {
         disk: BaseDisk,
         profile: GuestProfile,
     ) -> Self {
-        ReferenceImage { id, name: name.into(), frames, disk, profile }
+        ReferenceImage { id, name: name.into(), frames: frames.into(), disk, profile }
     }
 
     /// The image identifier.
@@ -81,6 +83,12 @@ impl ReferenceImage {
     /// All frames, in pfn order.
     #[must_use]
     pub fn frames(&self) -> &[FrameId] {
+        &self.frames
+    }
+
+    /// The shared frame list every flash clone maps as its base.
+    #[must_use]
+    pub(crate) fn shared_frames(&self) -> &Arc<[FrameId]> {
         &self.frames
     }
 

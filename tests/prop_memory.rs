@@ -48,6 +48,7 @@ fn diverged_merged_host(clones: usize, payload_seed: u64) -> (Host, Vec<DomainId
         domains.push(id);
     }
     host.scan_and_merge().expect("host is alive");
+    host.audit().expect("merge keeps the host invariants");
     (host, domains)
 }
 
@@ -166,6 +167,7 @@ proptest! {
             })
             .collect();
         host.scan_and_merge().expect("host is alive");
+        prop_assert_eq!(host.audit(), Ok(()));
         for (i, &d) in domains.iter().enumerate() {
             for (j, &pfn) in probe_pfns.iter().enumerate() {
                 let after = host.read_page(d, pfn).expect("pfn in range");
