@@ -7,12 +7,13 @@
 //! each worker count under two profiles —
 //!
 //! * **baseline** — every tuning knob off: static round-robin worker
-//!   assignment, a fixed barrier window, per-packet flow-table and
-//!   counter updates.
-//! * **tuned** — greedy-LPT load rebalancing at each barrier, a
+//!   assignment and a fixed barrier window.
+//! * **tuned** — greedy-LPT load rebalancing at each barrier and a
 //!   throughput-oriented adaptive window controller (widening toward an
-//!   8× ceiling while cross-cell pressure allows), and barrier-batched
-//!   gateway bookkeeping over the recycling buffer pool.
+//!   8× ceiling while cross-cell pressure allows).
+//!
+//! Both profiles share the gateway's barrier-batched flow-table refreshes
+//! and the recycling buffer pool: those have no off switch.
 //!
 //! Within a profile every worker count must produce a byte-identical
 //! deterministic report (the engine claim E11 proves holds under tuning
@@ -66,7 +67,7 @@ pub struct HotPathProfile {
 pub struct HotPathResult {
     /// Tuning off.
     pub baseline: HotPathProfile,
-    /// Rebalancing + adaptive windows + batched gateway bookkeeping.
+    /// Rebalancing + adaptive windows.
     pub tuned: HotPathProfile,
     /// Packets in the replayed trace (same scenario for both profiles).
     pub packets: u64,
@@ -91,7 +92,6 @@ pub struct HotPathResult {
 #[must_use]
 pub fn tuned_config(duration: SimTime, cells: usize) -> ShardedTelescopeConfig {
     let mut config = e11::config(duration, cells);
-    config.base.farm.gateway.batched_flow_updates = true;
     config.tuning = EngineTuning {
         rebalance: true,
         adaptive: Some(AdaptiveWindow {

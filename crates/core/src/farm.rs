@@ -13,6 +13,7 @@ use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use potemkin_gateway::binding::VmRef;
+use potemkin_gateway::flowtable::FlowAuditViolation;
 use potemkin_gateway::gateway::{Gateway, GatewayAction, GatewayConfig};
 use potemkin_gateway::policy::DropReason;
 use potemkin_gateway::reclaim::{ReclaimPolicy, ReclaimPolicyKind};
@@ -23,7 +24,7 @@ use potemkin_net::tcp::TcpFlags;
 use potemkin_net::{BufferPool, Packet, PacketBuilder, PacketPayload, PoolStats};
 use potemkin_obs::{names as obs, TraceConfig, TraceEvent, Tracer};
 use potemkin_services::{ServiceEngine, ServicesConfig};
-use potemkin_sim::{FaultInjector, FaultKind, FaultPlan, SimRng, SimTime};
+use potemkin_sim::{FastMap, FaultInjector, FaultKind, FaultPlan, SimRng, SimTime};
 use potemkin_snapshot::{SnapReader, SnapshotError};
 use potemkin_vmm::cost::CostModel;
 use potemkin_vmm::guest::GuestProfile;
@@ -455,7 +456,16 @@ pub struct Honeyfarm {
     hosts: Vec<Host>,
     /// Per host: one image per profile (index 0 = the default profile).
     images: Vec<Vec<ImageId>>,
-    vms: HashMap<VmRef, VmSlot>,
+    vms: FastMap<VmRef, VmSlot>,
+    /// Live VMs bound to each address (entries at zero are removed): the
+    /// index infection attribution reads instead of scanning every VM.
+    /// Kept wherever `vms` changes.
+    bound: FastMap<Ipv4Addr, u32>,
+    /// Reused scratch for the dispatch loop's LIFO action queue and for a
+    /// delivery's guest emissions, so a packet's causal chain allocates
+    /// neither.
+    action_queue: Vec<GatewayAction>,
+    emissions: Vec<Packet>,
     /// Pre-cloned, unbound, pristine domains per host.
     standby: Vec<Vec<DomainId>>,
     next_vmref: u64,
@@ -527,6 +537,26 @@ pub struct Honeyfarm {
     /// images share it, so identical golden-disk chunks are stored once
     /// across the whole farm regardless of server or image count.
     store: SharedChunkStore,
+    /// Attribute infections with the scan the address index replaced
+    /// (the reference the index is tested against).
+    #[cfg(test)]
+    attribute_by_scan: bool,
+}
+
+/// One broken farm invariant, as found by [`Honeyfarm::audit`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum FarmAuditViolation {
+    /// The gateway's flow table is inconsistent.
+    Flows(FlowAuditViolation),
+    /// The per-address VM index disagrees with the VMs' bound addresses.
+    AddressIndex {
+        /// The address.
+        addr: Ipv4Addr,
+        /// VMs the index counts there.
+        indexed: u32,
+        /// Live VMs actually bound there.
+        bound: u32,
+    },
 }
 
 impl Honeyfarm {
@@ -607,7 +637,10 @@ impl Honeyfarm {
             hosts,
             images,
             standby,
-            vms: HashMap::new(),
+            vms: FastMap::default(),
+            bound: FastMap::default(),
+            action_queue: Vec::new(),
+            emissions: Vec::new(),
             next_vmref: 0,
             next_host: 0,
             rng,
@@ -640,6 +673,8 @@ impl Honeyfarm {
             pool: BufferPool::new(),
             services: config_services,
             store,
+            #[cfg(test)]
+            attribute_by_scan: false,
         })
     }
 
@@ -725,7 +760,7 @@ impl Honeyfarm {
             self.fault_ledger.record_tunnel_delay_us(self.tunnel_extra_latency.as_micros());
         }
         let action = self.gateway.on_inbound(now, packet);
-        self.run_actions(now, vec![action]);
+        self.run_actions(now, action);
     }
 
     /// Emits a packet from a live VM (worm probes, delayed guest traffic)
@@ -737,7 +772,7 @@ impl Honeyfarm {
             return false;
         }
         let action = self.gateway.on_outbound(now, vm, packet);
-        self.run_actions(now, vec![action]);
+        self.run_actions(now, action);
         true
     }
 
@@ -890,8 +925,11 @@ impl Honeyfarm {
         self.hosts[host].crash();
         self.standby[host].clear();
         self.counters.add("vms_lost_to_crash", victims.len() as u64);
-        for (vm, _) in &victims {
-            self.vms.remove(vm);
+        for &(vm, bound) in &victims {
+            self.vms.remove(&vm);
+            if let Some(addr) = bound {
+                self.unindex(addr);
+            }
         }
         for (vm, bound) in victims {
             let mut addrs = self.gateway.unbind_vm(vm);
@@ -933,6 +971,11 @@ impl Honeyfarm {
     /// Reclaims one VM per the configured [`RecycleStrategy`].
     fn reclaim_vm(&mut self, vm: VmRef) {
         let Some(slot) = self.vms.remove(&vm) else { return };
+        if let Some(addr) =
+            self.hosts[slot.host].domain(slot.domain).ok().and_then(|d| d.bound_addr())
+        {
+            self.unindex(addr);
+        }
         let result = match self.config.recycle {
             RecycleStrategy::DestroyAndClone => self.hosts[slot.host].destroy(slot.domain),
             RecycleStrategy::RollbackToPool => {
@@ -962,14 +1005,40 @@ impl Honeyfarm {
         }
     }
 
-    fn run_actions(&mut self, now: SimTime, actions: Vec<GatewayAction>) {
+    /// Drops one VM from `addr`'s count in the address index.
+    fn unindex(&mut self, addr: Ipv4Addr) {
+        if let Some(count) = self.bound.get_mut(&addr) {
+            *count -= 1;
+            if *count == 0 {
+                self.bound.remove(&addr);
+            }
+        }
+    }
+
+    fn run_actions(&mut self, now: SimTime, action: GatewayAction) {
         let span = self.tracer.begin(now, obs::FARM_DISPATCH);
-        self.run_actions_inner(now, actions);
+        let mut queue = std::mem::take(&mut self.action_queue);
+        queue.push(action);
+        self.run_actions_inner(now, &mut queue);
+        // Whatever an exhausted budget left behind is dropped, as before.
+        queue.clear();
+        self.action_queue = queue;
         self.tracer.end(now, span);
     }
 
-    fn run_actions_inner(&mut self, now: SimTime, actions: Vec<GatewayAction>) {
-        let mut queue: Vec<GatewayAction> = actions;
+    /// Delivers `packet` to `vm` and queues the gateway's verdict on each
+    /// guest emission, in emission order (so the LIFO loop handles the
+    /// last one first).
+    fn deliver(&mut self, now: SimTime, vm: VmRef, packet: Packet, queue: &mut Vec<GatewayAction>) {
+        let mut emissions = std::mem::take(&mut self.emissions);
+        self.handle_delivery(now, vm, packet, &mut emissions);
+        for p in emissions.drain(..) {
+            queue.push(self.gateway.on_outbound(now, vm, p));
+        }
+        self.emissions = emissions;
+    }
+
+    fn run_actions_inner(&mut self, now: SimTime, queue: &mut Vec<GatewayAction>) {
         // Bound the causal chain defensively; real chains are short (a
         // reflection plus a few dialogue rounds).
         let mut budget = 256;
@@ -980,12 +1049,7 @@ impl Honeyfarm {
             }
             budget -= 1;
             match action {
-                GatewayAction::Deliver { vm, packet } => {
-                    let emissions = self.handle_delivery(now, vm, packet);
-                    for p in emissions {
-                        queue.push(self.gateway.on_outbound(now, vm, p));
-                    }
-                }
+                GatewayAction::Deliver { vm, packet } => self.deliver(now, vm, packet, queue),
                 GatewayAction::CloneAndDeliver { addr, packet } => {
                     let mut placed = self.place_clone(now, packet.src(), addr);
                     if placed.is_none() && self.config.evict_on_pressure {
@@ -1013,11 +1077,8 @@ impl Honeyfarm {
                 GatewayAction::GatewayReply(packet) => {
                     // A gateway-synthesized packet: deliver to a VM if its
                     // destination is one, else it leaves the farm.
-                    if let Some(vm) = self.vm_for_addr(now, packet.dst()) {
-                        let emissions = self.handle_delivery(now, vm, packet);
-                        for p in emissions {
-                            queue.push(self.gateway.on_outbound(now, vm, p));
-                        }
+                    if let Some(vm) = self.vm_for_addr(packet.dst()) {
+                        self.deliver(now, vm, packet, queue);
                     } else {
                         self.counters.incr("sent_external");
                         self.outputs.push(FarmOutput::SentExternal(packet));
@@ -1072,8 +1133,12 @@ impl Honeyfarm {
     }
 
     /// Finds the VM bound to `addr` without consuming gateway state beyond
-    /// an activity refresh.
-    fn vm_for_addr(&mut self, _now: SimTime, addr: Ipv4Addr) -> Option<VmRef> {
+    /// an activity refresh. The address index answers the common miss (a
+    /// reply leaving the farm) without a scan.
+    fn vm_for_addr(&self, addr: Ipv4Addr) -> Option<VmRef> {
+        if !self.bound.contains_key(&addr) {
+            return None;
+        }
         self.vms
             .iter()
             .find(|(_, slot)| {
@@ -1232,6 +1297,7 @@ impl Honeyfarm {
         let vm = VmRef(self.next_vmref);
         self.next_vmref += 1;
         self.vms.insert(vm, slot);
+        *self.bound.entry(addr).or_default() += 1;
         self.gateway.bind(now, src, addr, vm);
         self.counters.incr("vms_cloned");
         self.clone_latency_us.record(timing.total().as_micros());
@@ -1255,13 +1321,19 @@ impl Honeyfarm {
     /// leaves a `gw.action.deliver` instant in the trace, and a redundant
     /// span pair here would be the single largest event source (E12 holds
     /// recorder overhead under 5%).
-    fn handle_delivery(&mut self, now: SimTime, vm: VmRef, packet: Packet) -> Vec<Packet> {
+    fn handle_delivery(
+        &mut self,
+        now: SimTime,
+        vm: VmRef,
+        packet: Packet,
+        emissions: &mut Vec<Packet>,
+    ) {
         let Some(slot) = self.vms.get(&vm) else {
-            return vec![];
+            return;
         };
         let (host_idx, domain) = (slot.host, slot.domain);
         if !self.hosts[host_idx].domain(domain).is_ok_and(|d| d.is_running()) {
-            return vec![];
+            return;
         }
         self.counters.incr("packets_to_guests");
         let me = packet.dst();
@@ -1273,12 +1345,12 @@ impl Honeyfarm {
         let (listens_tcp, listens_udp) = {
             let Ok(dom) = self.hosts[host_idx].domain(domain) else {
                 self.counters.incr("delivery_races");
-                return vec![];
+                return;
             };
             let image = dom.image();
             let Ok(img) = self.hosts[host_idx].image(image) else {
                 self.counters.incr("delivery_races");
-                return vec![];
+                return;
             };
             // Only the port-listen verdicts are needed downstream; looking
             // them up here (while the image borrow is live) avoids cloning
@@ -1298,7 +1370,6 @@ impl Honeyfarm {
         let req_idx = self.request_counter;
         self.request_counter += 1;
 
-        let mut emissions = Vec::new();
         match packet.payload() {
             PacketPayload::Icmp(msg) => {
                 if let Some(reply) = msg.reply_to() {
@@ -1442,7 +1513,6 @@ impl Honeyfarm {
                 // Unmodeled transports are absorbed silently.
             }
         }
-        emissions
     }
 
     fn contains(haystack: &[u8], needle: &[u8]) -> bool {
@@ -1542,11 +1612,7 @@ impl Honeyfarm {
                 self.newly_infected.push(vm);
                 // Attribution: is the infecting source one of our own
                 // honeypots (internal epidemic) or an external host?
-                let internal_origin = self.vms.values().any(|slot| {
-                    self.hosts[slot.host]
-                        .domain(slot.domain)
-                        .is_ok_and(|d| d.bound_addr() == Some(infected_by))
-                });
+                let internal_origin = self.is_bound(infected_by);
                 if internal_origin {
                     self.counters.incr("infections_internal");
                 } else {
@@ -1673,6 +1739,61 @@ impl Honeyfarm {
     /// map updates per packet.
     pub fn end_window(&mut self) {
         self.gateway.end_window();
+    }
+
+    /// Live VMs per bound address, counted from the VMs' domains: what
+    /// the address index must equal.
+    fn recount_bound(&self) -> FastMap<Ipv4Addr, u32> {
+        let mut bound = FastMap::default();
+        for slot in self.vms.values() {
+            if let Some(addr) =
+                self.hosts[slot.host].domain(slot.domain).ok().and_then(|d| d.bound_addr())
+            {
+                *bound.entry(addr).or_default() += 1;
+            }
+        }
+        bound
+    }
+
+    /// Whether one of this farm's live VMs is bound to `addr`: one lookup
+    /// in the address index.
+    fn is_bound(&self, addr: Ipv4Addr) -> bool {
+        #[cfg(test)]
+        if self.attribute_by_scan {
+            return self.bound_by_scan(addr);
+        }
+        self.bound.contains_key(&addr)
+    }
+
+    /// The attribution scan the address index replaced: whether any live
+    /// VM is bound to `addr`.
+    #[cfg(test)]
+    fn bound_by_scan(&self, addr: Ipv4Addr) -> bool {
+        self.vms.values().any(|slot| {
+            self.hosts[slot.host].domain(slot.domain).is_ok_and(|d| d.bound_addr() == Some(addr))
+        })
+    }
+
+    /// Checks the farm's structural invariants: the gateway's flow table
+    /// passes [`FlowTable::audit`](potemkin_gateway::flowtable::FlowTable::audit),
+    /// and the per-address VM index equals a recount over the live VMs.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`FarmAuditViolation`] found.
+    pub fn audit(&self) -> Result<(), FarmAuditViolation> {
+        self.gateway.audit_flows().map_err(FarmAuditViolation::Flows)?;
+        let actual = self.recount_bound();
+        let mut addrs: Vec<Ipv4Addr> = actual.keys().chain(self.bound.keys()).copied().collect();
+        addrs.sort_unstable();
+        for addr in addrs {
+            let indexed = self.bound.get(&addr).copied().unwrap_or(0);
+            let bound = actual.get(&addr).copied().unwrap_or(0);
+            if indexed != bound {
+                return Err(FarmAuditViolation::AddressIndex { addr, indexed, bound });
+            }
+        }
+        Ok(())
     }
 
     /// Live (bound) VM count. Standby-pool domains are not included.
@@ -2027,7 +2148,7 @@ impl Honeyfarm {
             standby.push(pool);
         }
         let n_vms = r.u64()?;
-        let mut vms = HashMap::with_capacity(n_vms.min(1 << 20) as usize);
+        let mut vms = FastMap::default();
         for _ in 0..n_vms {
             let vm = VmRef(r.u64()?);
             let host = r.usize()?;
@@ -2180,6 +2301,7 @@ impl Honeyfarm {
         self.reclaim = reclaim;
         self.standby = standby;
         self.vms = vms;
+        self.bound = self.recount_bound();
         self.next_vmref = next_vmref;
         self.next_host = next_host;
         self.request_counter = request_counter;
@@ -3153,5 +3275,137 @@ mod tests {
         fork_c.restore_state(&encoded).unwrap();
         fork_c.reseed(8);
         assert_ne!(fork_a.encode_state(), fork_c.encode_state(), "different salt diverges");
+    }
+
+    /// One sampled input of the attribution property below.
+    #[derive(Clone, Copy, Debug)]
+    struct AttributionCase {
+        seed: u64,
+        crash_rate_per_hour: f64,
+        /// Step at which the run checkpoints and continues in a restored
+        /// farm, and the fork salt it is reseeded with (`None` = resume).
+        restart: Option<(u64, Option<u64>)>,
+    }
+
+    /// Drives a Code Red outbreak on a two-server farm over a /24: an
+    /// attacker delivers the exploit to a random address every 250 ms
+    /// (alternately from outside and from a telescope address that may
+    /// hold a live VM), infected VMs probe, bindings idle out after 800 ms and
+    /// re-bind, and a sampled fault plan crashes and revives hosts. The
+    /// farm is audited after every step. Returns the attribution counters
+    /// and each infection record's `(infected_by, internal_origin)`.
+    fn attribution_run(case: AttributionCase, by_scan: bool) -> (u64, u64, Vec<(Ipv4Addr, bool)>) {
+        const STEPS: u64 = 400; // 10 ms each
+        let config = || {
+            let mut cfg = FarmConfig::small_test();
+            cfg.servers = 2;
+            cfg.frames_per_server = 200_000;
+            cfg.worm = Some(WormSpec::code_red("10.1.0.0/24".parse().unwrap()));
+            cfg.gateway.policy =
+                PolicyConfig::reflect().with_idle_timeout(SimTime::from_millis(800));
+            cfg.seed = case.seed;
+            cfg
+        };
+        let plan = FaultPlan::generate(&potemkin_sim::FaultPlanConfig {
+            seed: case.seed,
+            host_crash_rate_per_hour: case.crash_rate_per_hour,
+            host_recovery_time: SimTime::from_millis(500),
+            ..potemkin_sim::FaultPlanConfig::zero(SimTime::from_millis(STEPS * 10), 2)
+        });
+        let mut farm = Honeyfarm::new(config()).unwrap();
+        farm.attribute_by_scan = by_scan;
+        farm.install_fault_plan(plan);
+        let mut inputs = SimRng::seed_from(case.seed ^ 0xA77);
+        let mut infected: Vec<(VmRef, u64)> = Vec::new();
+        let mut cursor = 0;
+        for step in 0..STEPS {
+            let t = SimTime::from_millis(step * 10);
+            if let Some((at, salt)) = case.restart {
+                if at == step {
+                    let mut restored = Honeyfarm::new(config()).unwrap();
+                    restored.restore_state(&farm.encode_state()).unwrap();
+                    if let Some(salt) = salt {
+                        restored.reseed(salt);
+                    }
+                    restored.attribute_by_scan = by_scan;
+                    farm = restored;
+                }
+            }
+            if step % 25 == 0 {
+                let dst = Ipv4Addr::new(10, 1, 0, inputs.below(256) as u8);
+                // Every other delivery comes from inside the /24, from an
+                // address that may or may not have a live VM right now.
+                let atk = if step % 50 == 0 {
+                    Ipv4Addr::new(6, 6, 6, (step / 25) as u8)
+                } else {
+                    Ipv4Addr::new(10, 1, 0, inputs.below(256) as u8)
+                };
+                farm.inject_external(t, PacketBuilder::new(atk, dst).tcp_syn(9_000, 80));
+                let exploit = PacketBuilder::new(atk, dst).tcp_segment(
+                    9_000,
+                    80,
+                    TcpFlags::PSH_ACK,
+                    1,
+                    1,
+                    b"GET /default.ida?NNNN-marker",
+                );
+                farm.inject_external(t, exploit);
+            }
+            // Up to four probes per step, round-robin over the infected.
+            for _ in 0..infected.len().min(4) {
+                cursor %= infected.len();
+                let (vm, idx) = infected[cursor];
+                if farm.worm_probe(t, vm, idx) {
+                    infected[cursor].1 += 1;
+                    cursor += 1;
+                } else {
+                    infected.remove(cursor);
+                    if infected.is_empty() {
+                        break;
+                    }
+                }
+            }
+            if step % 10 == 0 {
+                farm.tick(t);
+            }
+            infected.extend(farm.take_new_infections().into_iter().map(|vm| (vm, 0)));
+            farm.take_outputs();
+            assert_eq!(farm.audit(), Ok(()), "audit failed at step {step}");
+        }
+        let log = farm.infection_log().iter().map(|r| (r.infected_by, r.internal_origin)).collect();
+        let c = farm.counters();
+        (c.get("infections_internal"), c.get("infections_external"), log)
+    }
+
+    mod attribution {
+        use super::{attribution_run, AttributionCase};
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(8))]
+
+            /// The address index attributes every infection exactly as the
+            /// scan over all live VMs it replaced, across seeds, host-crash
+            /// fault plans, and checkpoint resume/fork.
+            #[test]
+            fn address_index_attributes_like_the_reference_scan(
+                seed in any::<u64>(),
+                crash_rate_per_hour in prop_oneof![Just(0.0), 1_800.0..7_200.0f64],
+                restart in any::<bool>(),
+                at in 50u64..350,
+                fork in any::<bool>(),
+                salt in any::<u64>(),
+            ) {
+                let case = AttributionCase {
+                    seed,
+                    crash_rate_per_hour,
+                    restart: restart.then_some((at, fork.then_some(salt))),
+                };
+                let indexed = attribution_run(case, false);
+                let scanned = attribution_run(case, true);
+                prop_assert!(indexed.0 > 0 && indexed.1 > 0, "both origins occur: {:?}", indexed);
+                prop_assert_eq!(indexed, scanned);
+            }
+        }
     }
 }

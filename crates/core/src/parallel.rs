@@ -485,8 +485,15 @@ impl ShardWorld for CellWorld {
     fn take_outbound(&mut self) -> Vec<(usize, Vec<Packet>)> {
         // The engine calls this exactly once per shard per window — it is
         // the barrier hook, so window-batched farm bookkeeping (hot
-        // counters, deferred flow-table refreshes) flushes here.
+        // counters, queued flow-table timer re-arms) flushes here.
         self.farm.end_window();
+        // Debug builds (the test suites) audit every cell at every barrier:
+        // flow-table indexes and the per-address VM index. Release builds
+        // skip the walk.
+        #[cfg(debug_assertions)]
+        if let Err(violation) = self.farm.audit() {
+            panic!("cell farm failed its barrier audit: {violation:?}");
+        }
         let mut staged = Vec::new();
         for (dest, packets) in self.outbound.iter_mut().enumerate() {
             if !packets.is_empty() {

@@ -6,10 +6,9 @@
 //! timers; the per-source quota the paper proposes for resource containment
 //! is implemented here too.
 
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-use potemkin_sim::{SimTime, TimerHandle, TimerWheel};
+use potemkin_sim::{FastMap, SimTime, TimerHandle, TimerWheel};
 use potemkin_snapshot::{SnapReader, SnapWriter, SnapshotError};
 
 use crate::reclaim::ReclaimCandidate;
@@ -71,9 +70,9 @@ pub struct AddressBinder {
     granularity: BindGranularity,
     idle_timeout: SimTime,
     max_lifetime: SimTime,
-    bindings: HashMap<BindKey, Binding>,
+    bindings: FastMap<BindKey, Binding>,
     timers: TimerWheel<(BindKey, u64)>,
-    per_source: HashMap<Ipv4Addr, u32>,
+    per_source: FastMap<Ipv4Addr, u32>,
     per_source_limit: Option<u32>,
     next_epoch: u64,
     /// Lifetime counters.
@@ -95,9 +94,9 @@ impl AddressBinder {
             granularity,
             idle_timeout,
             max_lifetime,
-            bindings: HashMap::new(),
+            bindings: FastMap::default(),
             timers: TimerWheel::new(SimTime::from_millis(100)),
-            per_source: HashMap::new(),
+            per_source: FastMap::default(),
             per_source_limit,
             next_epoch: 0,
             binds: 0,
@@ -170,7 +169,7 @@ impl AddressBinder {
         old.map(|b| b.vm)
     }
 
-    fn decr_source(map: &mut HashMap<Ipv4Addr, u32>, src: Ipv4Addr) {
+    fn decr_source(map: &mut FastMap<Ipv4Addr, u32>, src: Ipv4Addr) {
         if let Some(c) = map.get_mut(&src) {
             *c -= 1;
             if *c == 0 {
@@ -336,8 +335,8 @@ impl AddressBinder {
         const CTX: &str = "gateway.binder";
         let mut r = SnapReader::new(bytes, CTX);
         let n_bindings = r.usize()?;
-        let mut bindings = HashMap::with_capacity(n_bindings);
-        let mut per_source: HashMap<Ipv4Addr, u32> = HashMap::new();
+        let mut bindings = FastMap::default();
+        let mut per_source: FastMap<Ipv4Addr, u32> = FastMap::default();
         for _ in 0..n_bindings {
             let key = decode_bind_key(&mut r)?;
             let vm = VmRef(r.u64()?);
@@ -357,9 +356,12 @@ impl AddressBinder {
         let now_ticks = r.u64()?;
         let next_timer_id = r.u64()?;
         let n_timers = r.usize()?;
-        let mut timers = Vec::with_capacity(n_timers);
+        let mut timers = Vec::new();
         for _ in 0..n_timers {
             let id = r.u64()?;
+            if id >= next_timer_id {
+                return Err(SnapshotError::Decode { context: CTX });
+            }
             let deadline_ticks = r.u64()?;
             let key = decode_bind_key(&mut r)?;
             let epoch = r.u64()?;

@@ -6,20 +6,19 @@
 //! binder, the DNS proxy, and the per-VM rate limiters — all the state the
 //! paper's gateway router kept — but never touches a VM itself.
 
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use potemkin_metrics::{CounterSet, RateEstimator};
 use potemkin_net::addr::Ipv4Prefix;
 use potemkin_net::{BufferPool, Packet, PacketBuilder, PacketPayload, PoolStats};
 use potemkin_obs::{names as obs, TraceEvent, Tracer};
-use potemkin_sim::{SimTime, TokenBucket};
+use potemkin_sim::{FastMap, SimTime, TokenBucket};
 use potemkin_snapshot::{SnapReader, SnapWriter};
 
 use crate::binding::{AddressBinder, BindGranularity, ExpiredBinding, VmRef};
 use crate::config::ConfigError;
 use crate::dnsgw::DnsProxy;
-use crate::flowtable::{FlowDirection, FlowTable};
+use crate::flowtable::{FlowAuditViolation, FlowDirection, FlowTable};
 use crate::policy::{ContainmentMode, DropReason, PolicyConfig};
 use crate::reclaim::ReclaimPolicy;
 
@@ -37,11 +36,6 @@ pub struct GatewayConfig {
     pub granularity: BindGranularity,
     /// The reserved prefix DNS answers come from.
     pub sinkhole: Ipv4Prefix,
-    /// Defer flow-table timer/LRU refreshes and hot-path counter folds to
-    /// window barriers ([`Gateway::end_window`]) instead of paying them per
-    /// packet. Flow eviction outcomes are unchanged; only when the
-    /// bookkeeping happens moves.
-    pub batched_flow_updates: bool,
     /// Cap on concurrently open interaction-service sessions admitted per
     /// farm (`None` = unlimited). Checked by
     /// [`Gateway::admit_service_session`] before the farm opens a new
@@ -55,7 +49,6 @@ impl Default for GatewayConfig {
             policy: PolicyConfig::default(),
             granularity: BindGranularity::PerDestination,
             sinkhole: "172.20.0.0/16".parse().expect("static prefix"),
-            batched_flow_updates: false,
             service_sessions: None,
         }
     }
@@ -104,13 +97,6 @@ impl GatewayConfigBuilder {
     #[must_use]
     pub fn sinkhole(mut self, sinkhole: Ipv4Prefix) -> Self {
         self.inner.sinkhole = sinkhole;
-        self
-    }
-
-    /// Defers per-packet flow-table refreshes to window barriers.
-    #[must_use]
-    pub fn batched_flow_updates(mut self, batched: bool) -> Self {
-        self.inner.batched_flow_updates = batched;
         self
     }
 
@@ -253,7 +239,7 @@ pub struct Gateway {
     flows: FlowTable,
     binder: AddressBinder,
     dns: DnsProxy,
-    rate: HashMap<VmRef, TokenBucket>,
+    rate: FastMap<VmRef, TokenBucket>,
     inbound_rate: RateEstimator,
     counters: CounterSet,
     hot: HotStats,
@@ -280,20 +266,17 @@ impl Gateway {
             policy.binding_max_lifetime,
             policy.per_source_vm_limit,
         );
-        let mut flows = match policy.max_flows {
+        let flows = match policy.max_flows {
             Some(max) => FlowTable::new(policy.flow_idle_timeout).with_max_flows(max),
             None => FlowTable::new(policy.flow_idle_timeout),
         };
-        if config.batched_flow_updates {
-            flows = flows.with_batched_updates();
-        }
         let dns = DnsProxy::new(config.sinkhole);
         Gateway {
             config,
             flows,
             binder,
             dns,
-            rate: HashMap::new(),
+            rate: FastMap::default(),
             inbound_rate: RateEstimator::new(SimTime::from_secs(5)),
             counters: CounterSet::new(),
             hot: HotStats::default(),
@@ -639,7 +622,7 @@ impl Gateway {
     }
 
     /// Window-barrier hook: folds hot-path counters and applies the flow
-    /// table's deferred refreshes. The sharded engine calls this when a
+    /// table's queued timer re-arms. The sharded engine calls this when a
     /// cell's window closes; the serial driver calls it each tick. Cheap
     /// when nothing is pending.
     pub fn end_window(&mut self) {
@@ -688,6 +671,16 @@ impl Gateway {
     #[must_use]
     pub fn flows_alive_for(&self, addr: Ipv4Addr) -> usize {
         self.flows.flows_for(addr)
+    }
+
+    /// Checks the flow table's structural invariants
+    /// ([`FlowTable::audit`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`FlowAuditViolation`] found.
+    pub fn audit_flows(&self) -> Result<(), FlowAuditViolation> {
+        self.flows.audit()
     }
 
     /// The DNS proxy (attribution queries).
@@ -758,7 +751,7 @@ impl Gateway {
         self.binder.restore_state(r.bytes()?)?;
         self.dns.restore_state(r.bytes()?)?;
         let n_rate = r.usize()?;
-        let mut rate = HashMap::with_capacity(n_rate);
+        let mut rate = FastMap::default();
         for _ in 0..n_rate {
             let vm = VmRef(r.u64()?);
             let rps = r.f64()?;

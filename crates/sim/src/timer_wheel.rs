@@ -11,6 +11,8 @@
 //! granularity, covering `256^4` ticks (over 4 billion). Timers beyond the
 //! horizon saturate to the last slot of the outer wheel and re-cascade.
 
+use std::collections::VecDeque;
+
 use crate::time::SimTime;
 
 const SLOTS: usize = 256;
@@ -65,9 +67,16 @@ pub struct TimerWheel<T> {
     now_ticks: u64,
     wheels: Vec<Vec<Vec<TimerEntry<T>>>>,
     next_id: u64,
-    /// Identifiers of live (scheduled, not yet fired or cancelled) timers.
-    live: std::collections::HashSet<u64>,
-    cancelled: std::collections::HashSet<u64>,
+    /// Liveness by id: `live[id - live_base]` is whether timer `id` is
+    /// scheduled and has neither fired nor been cancelled. Ids are handed
+    /// out in increasing order, so this is a dense window from the oldest
+    /// live timer to `next_id`: ids below `live_base` are all dead and are
+    /// trimmed, and a wheel entry whose id is not live was cancelled (fired
+    /// entries leave the wheel as they fire). One byte per id in the
+    /// window, no hashing.
+    live: VecDeque<bool>,
+    live_base: u64,
+    live_count: usize,
 }
 
 impl<T> TimerWheel<T> {
@@ -87,21 +96,53 @@ impl<T> TimerWheel<T> {
             now_ticks: 0,
             wheels: (0..LEVELS).map(|_| (0..SLOTS).map(|_| Vec::new()).collect()).collect(),
             next_id: 0,
-            live: std::collections::HashSet::new(),
-            cancelled: std::collections::HashSet::new(),
+            live: VecDeque::new(),
+            live_base: 0,
+            live_count: 0,
         }
     }
 
     /// The number of live timers.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.live.len()
+        self.live_count
     }
 
     /// Whether no timers are live.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
+        self.live_count == 0
+    }
+
+    /// Whether timer `id` is live.
+    fn is_live(&self, id: u64) -> bool {
+        id.checked_sub(self.live_base)
+            .and_then(|i| usize::try_from(i).ok())
+            .is_some_and(|i| self.live.get(i).copied().unwrap_or(false))
+    }
+
+    /// Marks the live timer `id` dead and trims the dead prefix.
+    fn mark_dead(&mut self, id: u64) {
+        let i = (id - self.live_base) as usize;
+        self.live[i] = false;
+        self.live_count -= 1;
+        while self.live.front() == Some(&false) {
+            self.live.pop_front();
+            self.live_base += 1;
+        }
+    }
+
+    /// Marks `id` live, growing the window up to it.
+    fn mark_live(&mut self, id: u64) {
+        if self.live.is_empty() {
+            self.live_base = id;
+        }
+        let i = (id - self.live_base) as usize;
+        if i >= self.live.len() {
+            self.live.resize(i + 1, false);
+        }
+        self.live[i] = true;
+        self.live_count += 1;
     }
 
     /// The current wheel time (start of the current tick).
@@ -143,8 +184,14 @@ impl<T> TimerWheel<T> {
         let deadline_ticks = self.ticks_for(deadline).max(self.now_ticks);
         let (level, slot) = self.place(deadline_ticks);
         self.wheels[level][slot].push(TimerEntry { id, deadline_ticks, payload });
-        self.live.insert(id);
+        self.mark_live(id);
         TimerHandle(id)
+    }
+
+    /// Whether `handle`'s timer is scheduled: neither fired nor cancelled.
+    #[must_use]
+    pub fn is_scheduled(&self, handle: TimerHandle) -> bool {
+        self.is_live(handle.0)
     }
 
     /// Cancels a previously scheduled timer.
@@ -152,13 +199,12 @@ impl<T> TimerWheel<T> {
     /// Returns `true` if the timer was live (it will now never fire), `false`
     /// if it had already fired or been cancelled.
     pub fn cancel(&mut self, handle: TimerHandle) -> bool {
-        if self.live.remove(&handle.0) {
-            // The wheel entry is lazily dropped during cascade/fire.
-            self.cancelled.insert(handle.0);
-            true
-        } else {
-            false
+        if !self.is_live(handle.0) {
+            return false;
         }
+        // The wheel entry is lazily dropped during cascade/fire.
+        self.mark_dead(handle.0);
+        true
     }
 
     /// Advances the wheel to `now`, returning all payloads whose deadlines
@@ -171,8 +217,8 @@ impl<T> TimerWheel<T> {
             // Collect expired level-0 entries for this tick.
             let bucket = std::mem::take(&mut self.wheels[0][slot0]);
             for entry in bucket {
-                if self.cancelled.remove(&entry.id) {
-                    continue;
+                if !self.is_live(entry.id) {
+                    continue; // cancelled
                 }
                 debug_assert!(entry.deadline_ticks <= self.now_ticks);
                 fired.push(entry);
@@ -187,8 +233,8 @@ impl<T> TimerWheel<T> {
                 let slot = (t & (SLOTS as u64 - 1)) as usize;
                 let bucket = std::mem::take(&mut self.wheels[level][slot]);
                 for entry in bucket {
-                    if self.cancelled.remove(&entry.id) {
-                        continue;
+                    if !self.is_live(entry.id) {
+                        continue; // cancelled
                     }
                     let (l, s) = self.place(entry.deadline_ticks);
                     self.wheels[l][s].push(entry);
@@ -199,7 +245,7 @@ impl<T> TimerWheel<T> {
             }
         }
         for entry in &fired {
-            self.live.remove(&entry.id);
+            self.mark_dead(entry.id);
         }
         fired.sort_by_key(|e| (e.deadline_ticks, e.id));
         fired.into_iter().map(|e| e.payload).collect()
@@ -218,7 +264,7 @@ impl<T> TimerWheel<T> {
             .iter()
             .flatten()
             .flatten()
-            .filter(|e| self.live.contains(&e.id))
+            .filter(|e| self.is_live(e.id))
             .map(|e| (e.id, e.deadline_ticks, &e.payload))
             .collect();
         entries.sort_by_key(|&(id, _, _)| id);
@@ -229,21 +275,30 @@ impl<T> TimerWheel<T> {
     /// [`TimerWheel::snapshot_parts`]. Ids are preserved, so handles held by
     /// restored callers stay valid, and firing order — which sorts by
     /// `(deadline_ticks, id)` — is identical to the uninterrupted run
-    /// regardless of re-insertion order.
+    /// regardless of re-insertion order. An id repeated in `entries` keeps
+    /// only its first entry. The liveness window spans the restored ids, so
+    /// memory is one byte per id from the oldest entry to `next_id`.
     #[must_use]
     pub fn from_parts(
         tick: SimTime,
         now_ticks: u64,
         next_id: u64,
-        entries: Vec<(u64, u64, T)>,
+        mut entries: Vec<(u64, u64, T)>,
     ) -> Self {
         let mut wheel = TimerWheel::new(tick);
         wheel.now_ticks = now_ticks;
-        wheel.next_id = next_id;
+        entries.sort_by_key(|&(id, _, _)| id);
+        // Ids stay monotone even if the parts name an id at or past
+        // `next_id` (a snapshot never does).
+        wheel.next_id =
+            entries.last().map_or(next_id, |&(id, _, _)| next_id.max(id.saturating_add(1)));
         for (id, deadline_ticks, payload) in entries {
+            if wheel.is_live(id) {
+                continue;
+            }
             let (level, slot) = wheel.place(deadline_ticks);
             wheel.wheels[level][slot].push(TimerEntry { id, deadline_ticks, payload });
-            wheel.live.insert(id);
+            wheel.mark_live(id);
         }
         wheel
     }
@@ -371,6 +426,46 @@ mod tests {
         assert_eq!(w.len(), 1, "b still live");
         assert_eq!(w.advance_to(ms(100)), vec!['b'], "b still fires");
         assert!(w.is_empty());
+    }
+
+    #[test]
+    fn liveness_window_spans_only_live_ids() {
+        // A refresh-heavy load: every step re-arms one of 8 timers, as the
+        // flow table does per packet. Ids keep growing; the liveness window
+        // must not.
+        let mut w = TimerWheel::new(ms(1));
+        let mut handles: Vec<TimerHandle> = (0..8).map(|i| w.schedule(ms(50 + i), i)).collect();
+        for step in 0..10_000u64 {
+            let i = (step % 8) as usize;
+            assert!(w.cancel(handles[i]));
+            handles[i] = w.schedule(ms(step / 8 + 50), i as u64);
+            assert!(w.live.len() <= 16, "window grew to {} at step {step}", w.live.len());
+        }
+        assert_eq!(w.len(), 8);
+        assert_eq!(w.live_base, handles.iter().map(|h| h.raw()).min().unwrap());
+        w.advance_to(ms(10_000));
+        assert!(w.is_empty());
+        assert!(w.live.is_empty(), "all ids dead, window trimmed to nothing");
+    }
+
+    #[test]
+    fn restored_wheel_keeps_ids_monotone_and_fires_the_same() {
+        let mut w = TimerWheel::new(ms(1));
+        let a = w.schedule(ms(30), 'a');
+        w.schedule(ms(10), 'b');
+        w.cancel(a);
+        w.schedule(ms(10), 'c');
+        let (tick, now, next, parts) = w.snapshot_parts();
+        let parts: Vec<(u64, u64, char)> = parts.into_iter().map(|(i, d, &p)| (i, d, p)).collect();
+        let mut r = TimerWheel::from_parts(tick, now, next, parts.clone());
+        assert_eq!(r.len(), 2);
+        assert!(!r.cancel(a), "a cancelled timer stays dead across restore");
+        let d = r.schedule(ms(10), 'd');
+        assert_eq!(d.raw(), next, "the restored wheel continues the id sequence");
+        assert_eq!(r.advance_to(ms(40)), vec!['b', 'c', 'd']);
+        // Parts naming an id past `next_id` never reuse it.
+        let mut bad = TimerWheel::from_parts(tick, now, 0, parts);
+        assert!(bad.schedule(ms(5), 'e').raw() > next - 1);
     }
 
     #[test]

@@ -26,9 +26,11 @@ use crate::error::SnapshotError;
 /// Current snapshot format version. Version 2 switched disk sections from
 /// raw block walks to chunk-manifest references (geometry + materialized
 /// bits + overlay deltas); version 3 writes each domain's p2m as its base
-/// length, its overrides and its tail instead of one entry per page.
-/// Older files are rejected rather than misparsed.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// length, its overrides and its tail instead of one entry per page;
+/// version 4 drops the flow table's deferred-refresh counter (every
+/// refresh is deferred now). Older files are rejected rather than
+/// misparsed.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 const MAGIC: &[u8; 8] = b"PTMKSNAP";
 const END_MAGIC: &[u8; 8] = b"PSNAPEND";

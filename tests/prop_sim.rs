@@ -22,8 +22,104 @@ fn arb_timer_op() -> impl Strategy<Value = TimerOp> {
     ]
 }
 
+#[derive(Clone, Debug)]
+enum LivenessOp {
+    Schedule {
+        deadline_ms: u64,
+    },
+    /// Cancels any handle ever issued: live, fired, or already cancelled.
+    Cancel {
+        pick: usize,
+    },
+    Advance {
+        by_ms: u64,
+    },
+    /// Round-trips the wheel through `snapshot_parts`/`from_parts`.
+    Snapshot,
+}
+
+fn arb_liveness_op() -> impl Strategy<Value = LivenessOp> {
+    prop_oneof![
+        5 => (0u64..3_000).prop_map(|deadline_ms| LivenessOp::Schedule { deadline_ms }),
+        3 => any::<usize>().prop_map(|pick| LivenessOp::Cancel { pick }),
+        2 => (0u64..400).prop_map(|by_ms| LivenessOp::Advance { by_ms }),
+        1 => Just(LivenessOp::Snapshot),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Timer liveness against a `HashSet` model: after every schedule,
+    /// cancel (of any handle ever issued), advance and snapshot round
+    /// trip, `len` and `is_scheduled` agree with the model for every
+    /// handle, `cancel` reports liveness, and timers fire in
+    /// `(deadline, id)` order.
+    #[test]
+    fn timer_wheel_liveness_matches_a_set_model(
+        ops in proptest::collection::vec(arb_liveness_op(), 1..300),
+    ) {
+        use std::collections::{HashMap, HashSet};
+        let mut wheel: TimerWheel<u64> = TimerWheel::new(SimTime::from_millis(1));
+        // Process tick 0 so a deadline at "now" always means the next tick.
+        wheel.advance_to(SimTime::ZERO);
+        let mut live: HashSet<u64> = HashSet::new();
+        let mut deadline: HashMap<u64, u64> = HashMap::new(); // id → effective ms
+        let mut issued: Vec<potemkin::sim::TimerHandle> = Vec::new();
+        let mut now_ms = 0u64;
+        for op in ops {
+            match op {
+                LivenessOp::Schedule { deadline_ms } => {
+                    // Ids count schedules from 0, so the payload is the id.
+                    let id = issued.len() as u64;
+                    let h = wheel.schedule(SimTime::from_millis(now_ms + deadline_ms), id);
+                    prop_assert_eq!(h.raw(), id);
+                    live.insert(h.raw());
+                    deadline.insert(h.raw(), (now_ms + deadline_ms).max(now_ms + 1));
+                    issued.push(h);
+                }
+                LivenessOp::Cancel { pick } => {
+                    if issued.is_empty() { continue; }
+                    let h = issued[pick % issued.len()];
+                    prop_assert_eq!(wheel.cancel(h), live.remove(&h.raw()));
+                }
+                LivenessOp::Advance { by_ms } => {
+                    now_ms += by_ms;
+                    let fired = wheel.advance_to(SimTime::from_millis(now_ms));
+                    let mut due: Vec<(u64, u64)> = live
+                        .iter()
+                        .filter(|id| deadline[id] <= now_ms)
+                        .map(|&id| (deadline[&id], id))
+                        .collect();
+                    due.sort_unstable();
+                    for &(_, id) in &due {
+                        live.remove(&id);
+                    }
+                    let want: Vec<u64> = due.into_iter().map(|(_, id)| id).collect();
+                    prop_assert_eq!(fired, want, "firing order at t={}ms", now_ms);
+                }
+                LivenessOp::Snapshot => {
+                    let (tick, now, next, parts) = wheel.snapshot_parts();
+                    let ids: Vec<u64> = parts.iter().map(|&(id, _, _)| id).collect();
+                    let mut want: Vec<u64> = live.iter().copied().collect();
+                    want.sort_unstable();
+                    prop_assert_eq!(&ids, &want, "snapshot holds exactly the live timers");
+                    let parts = parts.into_iter().map(|(id, d, &p)| (id, d, p)).collect();
+                    wheel = TimerWheel::from_parts(tick, now, next, parts);
+                }
+            }
+            prop_assert_eq!(wheel.len(), live.len());
+            for h in &issued {
+                prop_assert_eq!(wheel.is_scheduled(*h), live.contains(&h.raw()));
+            }
+        }
+        // Drain: everything left fires in (deadline, id) order.
+        let mut rest: Vec<(u64, u64)> = live.iter().map(|&id| (deadline[&id], id)).collect();
+        rest.sort_unstable();
+        let fired = wheel.advance_to(SimTime::from_millis(now_ms + 10_000));
+        prop_assert_eq!(fired, rest.into_iter().map(|(_, id)| id).collect::<Vec<_>>());
+        prop_assert!(wheel.is_empty());
+    }
 
     /// The timer wheel fires exactly the same payload sets as a naive
     /// sorted-list model, never early, and respects cancellation.
