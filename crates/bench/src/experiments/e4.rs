@@ -67,6 +67,22 @@ pub fn bound_packets(n: usize, count: usize) -> Vec<Packet> {
         .collect()
 }
 
+/// Timing trials per measurement, each on freshly built state. The median
+/// is reported, so one trial stretched by the machine (a descheduled
+/// thread, another process's burst) does not decide a point; a 10,000-
+/// binding point times only ~10 ms of work per trial.
+const TRIALS: usize = 3;
+
+/// The median of `TRIALS` runs of `trial`, per component of its result.
+fn median_of_trials<const N: usize>(mut trial: impl FnMut() -> [f64; N]) -> [f64; N] {
+    let runs: Vec<[f64; N]> = (0..TRIALS).map(|_| trial()).collect();
+    std::array::from_fn(|k| {
+        let mut rates: Vec<f64> = runs.iter().map(|run| run[k]).collect();
+        rates.sort_by(f64::total_cmp);
+        rates[TRIALS / 2]
+    })
+}
+
 fn measure<F: FnMut() -> bool>(iterations: usize, mut f: F) -> f64 {
     let start = Instant::now();
     let mut ok = 0usize;
@@ -82,22 +98,15 @@ fn measure<F: FnMut() -> bool>(iterations: usize, mut f: F) -> f64 {
 
 /// Runs the throughput measurement at the given binding counts.
 ///
-/// `iterations` controls measurement length (use ≥ 100k for stable figures,
-/// less in tests).
+/// `iterations` controls the length of each timing trial (use ≥ 100k for
+/// stable figures, less in tests); every rate is the median of three
+/// trials on freshly built gateways.
 #[must_use]
 pub fn run(binding_counts: &[usize], iterations: usize) -> ThroughputResult {
     let mut points = Vec::new();
+    let now = SimTime::from_secs(1);
     for &n in binding_counts {
-        let mut g = loaded_gateway(n);
         let packets = bound_packets(n, iterations.min(10_000));
-        // Fast path: inbound to a bound address.
-        let mut i = 0usize;
-        let now = SimTime::from_secs(1);
-        let bound_pps = measure(iterations, || {
-            let p = packets[i % packets.len()].clone();
-            i += 1;
-            matches!(g.on_inbound(now, p), GatewayAction::Deliver { .. })
-        });
         // Reflect path: a bound VM probes unbound external addresses.
         let probe_batch: Vec<Packet> = (0..packets.len())
             .map(|k| {
@@ -105,23 +114,35 @@ pub fn run(binding_counts: &[usize], iterations: usize) -> ThroughputResult {
                     .tcp_syn(1_025, 445)
             })
             .collect();
-        let mut k = 0usize;
-        let reflect_pps = measure(iterations, || {
-            let p = probe_batch[k % probe_batch.len()].clone();
-            k += 1;
-            matches!(g.on_outbound(now, VmRef(0), p), GatewayAction::Reflect { .. })
+        let [bound_pps, reflect_pps] = median_of_trials(|| {
+            let mut g = loaded_gateway(n);
+            // Fast path: inbound to a bound address.
+            let mut i = 0usize;
+            let bound_pps = measure(iterations, || {
+                let p = packets[i % packets.len()].clone();
+                i += 1;
+                matches!(g.on_inbound(now, p), GatewayAction::Deliver { .. })
+            });
+            let mut k = 0usize;
+            let reflect_pps = measure(iterations, || {
+                let p = probe_batch[k % probe_batch.len()].clone();
+                k += 1;
+                matches!(g.on_outbound(now, VmRef(0), p), GatewayAction::Reflect { .. })
+            });
+            [bound_pps, reflect_pps]
         });
         points.push(ThroughputPoint { bindings: n, bound_pps, reflect_pps });
     }
 
     // Clone-request path: every packet targets a fresh unbound address.
-    let mut g = Gateway::new(GatewayConfig::default());
-    let mut j = 0u32;
-    let now = SimTime::from_secs(1);
-    let clone_request_pps = measure(iterations, || {
-        let p = PacketBuilder::new(source_addr(j), telescope_addr(j)).tcp_syn(4_000, 445);
-        j += 1;
-        matches!(g.on_inbound(now, p), GatewayAction::CloneAndDeliver { .. })
+    let [clone_request_pps] = median_of_trials(|| {
+        let mut g = Gateway::new(GatewayConfig::default());
+        let mut j = 0u32;
+        [measure(iterations, || {
+            let p = PacketBuilder::new(source_addr(j), telescope_addr(j)).tcp_syn(4_000, 445);
+            j += 1;
+            matches!(g.on_inbound(now, p), GatewayAction::CloneAndDeliver { .. })
+        })]
     });
 
     ThroughputResult { points, clone_request_pps }
